@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: exactly what .github/workflows/ci.yml runs.
+# Local CI: exactly what .github/workflows/ci.yml runs (its build-and-test
+# job calls this script; its sanitize and tsan jobs call --sanitize / --tsan).
 #
 # Configure the Release preset, build everything with -j, run the fast CTest
 # preset (everything except LABELS slow), then run the batched-vs-sequential
@@ -16,11 +17,11 @@
 # detectors, including the fuzz suite, memory-checked.
 #
 # --tsan builds under ThreadSanitizer (VARADE_TSAN=ON, separate build-tsan
-# tree) and runs the concurrency label — the thread pool, the async
-# ingestion runtime (lock-free rings, backpressure, multi-producer parity),
-# the sharded runtime (multi-engine parity at shards {1,2,4,auto},
-# serialized-sharing fallback), and the shm ring's SPSC producer/consumer
-# pair with doorbell arming (test_net_wire) race-checked.
+# tree) and runs the concurrency label — the async ingestion runtime
+# (lock-free rings, backpressure, multi-producer parity), the sharded
+# runtime (multi-engine parity at shards {1,2,4,auto}, null-clone start
+# error), and the shm ring's SPSC producer/consumer pair with doorbell
+# arming (test_net_wire) race-checked.
 set -euo pipefail
 
 cd "$(dirname "$0")"

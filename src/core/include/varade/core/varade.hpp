@@ -102,7 +102,7 @@ class VaradeDetector : public AnomalyDetector {
   /// score_step.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
   /// Fresh detector with the same architecture and a deep copy of the
-  /// weights; serving layers shard batches across such replicas.
+  /// weights; each serving shard scores through its own replica.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;
   Index context_window() const override { return config_.window; }
   edge::ModelCost cost() const override;

@@ -217,20 +217,12 @@ void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed,
   check_batch_args(contexts, observed);
   const Index channels = contexts.dim(1);
   const Index b = contexts.dim(0);
-  // B-axis split: each worker pushes its contiguous row range through the
-  // shared (read-only) model. The trunk convolutions and heads compute every
-  // batch row independently, so the split cannot change any output bit.
-  const auto score_rows = [&](const Tensor& range, Index r0, Index r1) {
-    const VaradeModel::Output range_out = model_->forward_inference(range);
-    for (Index r = r0; r < r1; ++r)
-      out[r] = score_from_logvar(range_out.logvar.data() + (r - r0) * channels, channels);
-  };
-  parallel_rows(b, [&](Index r0, Index r1) {
-    if (r0 == 0 && r1 == b)
-      score_rows(contexts, r0, r1);  // full batch: skip the slice copy
-    else
-      score_rows(contexts.slice0(r0, r1), r0, r1);
-  });
+  if (b == 0) return;
+  // The trunk convolutions and heads compute every batch row independently,
+  // so one [B, C, T] forward scores each row bit-identically to score_step.
+  const VaradeModel::Output batch_out = model_->forward_inference(contexts);
+  for (Index r = 0; r < b; ++r)
+    out[r] = score_from_logvar(batch_out.logvar.data() + r * channels, channels);
 }
 
 std::unique_ptr<AnomalyDetector> VaradeDetector::clone_fitted() const {

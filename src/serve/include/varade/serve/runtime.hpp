@@ -15,10 +15,9 @@
 // (a scorer never touches another shard's cache lines), its own result
 // queue, and its own ScoringEngine over a clone_fitted() replica of the
 // detector — so the shards share nothing on the hot path and scale across
-// cores. When the detector cannot be replicated (clone_fitted() returns
-// null), all shards fall back to the single borrowed instance and serialise
-// their engine calls on one mutex: correct, just not parallel. n_shards = 1
-// (the default) is exactly the pre-shard behaviour; 0 selects
+// cores. Shards are the serving stack's one parallelism axis: an engine and
+// a detector each run on their shard's scorer thread and own no threads.
+// n_shards = 1 (the default) is one scorer thread and one engine; 0 selects
 // hardware_concurrency; shards beyond n_streams() stay empty and get no
 // thread or engine.
 //
@@ -33,7 +32,8 @@
 // for ANY shard count, producer timing, ring capacity, or batching.
 //
 // Lifecycle: add_streams() / calibrate() / on_score() before start(); the
-// shard engines are built by start() (cloning the detector per shard);
+// shard engines are built by start() (cloning the detector per shard — a
+// null clone is a named error, never a fallback);
 // push() + drain_scores() while running; close() gates intake once, waits
 // for in-flight pushes, then drains every ring to empty and joins all
 // scorers deterministically — idempotent. Every push that returned Ok or
@@ -84,10 +84,7 @@ struct ShardPartition {
 
 struct AsyncRuntimeConfig {
   /// Configuration of the per-shard ScoringEngines the runtime owns and
-  /// drives (each shard gets its own engine, thread pool, and replicas).
-  /// engine.scoring_threads rides along: each shard's detector then splits
-  /// every score_batch call across that many intra-batch workers,
-  /// bit-identically at any value.
+  /// drives (each shard gets its own engine and detector replica).
   ScoringEngineConfig engine;
   /// Per-stream ring capacity in samples; rounded up to a power of two.
   Index ring_capacity = 1024;
@@ -191,10 +188,6 @@ class AsyncScoringRuntime {
   Index n_shards() const { return partition_.n_shards; }
   /// Shards that own streams and therefore get a scorer thread + engine.
   Index n_active_shards() const { return partition_.n_active(n_streams_); }
-  /// True when start() found the detector non-replicable (clone_fitted()
-  /// returned null) and the shards serialise scoring on the borrowed
-  /// instance instead of running parallel replicas.
-  bool sharing_detector() const { return share_detector_; }
 
   /// Threshold setup; only before start(). calibrate() computes the same
   /// quantile threshold as ScoringEngine::calibrate on the borrowed
@@ -210,10 +203,12 @@ class AsyncScoringRuntime {
   /// in the engine's emission order.
   void on_score(std::function<void(const StreamScore&)> callback);
 
-  /// Builds the shard engines (one clone_fitted() replica per shard, shared
-  /// borrowed instance when the detector is not replicable) and launches
-  /// one scoring thread per active shard. Requires >= 1 stream and a
-  /// calibrated threshold.
+  /// Builds the shard engines (shard 0 scores through the borrowed detector,
+  /// every other active shard through its own clone_fitted() replica) and
+  /// launches one scoring thread per active shard. Requires >= 1 stream and
+  /// a calibrated threshold. A clone_fitted() that returns null breaks the
+  /// detector contract: start() then throws Error (nothing is started, and
+  /// the runtime can still be destroyed).
   void start();
 
   /// Enqueues one raw sample for `stream` under the config's (or the given)
@@ -292,7 +287,7 @@ class AsyncScoringRuntime {
 
   /// Everything one scorer thread owns. Rings, engine, result queue, and
   /// nap state are all per shard, so shards share no mutable state on the
-  /// hot path (except the detector in the non-replicable fallback).
+  /// hot path.
   struct Shard {
     /// Counters of the streams this shard owns, in local-index order. Deque:
     /// StreamIngest holds atomics (immovable) and producers keep references
@@ -307,7 +302,7 @@ class AsyncScoringRuntime {
     /// immovable). Only touched after start() published `started_`.
     std::deque<SampleRing> rings;
     /// This shard's detector replica; null for shard 0 (which scores
-    /// through the borrowed detector) and in the shared-detector fallback.
+    /// through the borrowed detector).
     std::unique_ptr<core::AnomalyDetector> replica;
     /// This shard's engine over its subset view of the streams; built by
     /// start().
@@ -365,12 +360,6 @@ class AsyncScoringRuntime {
   /// Deque: Shard is immovable (atomics, mutexes); sized n_shards() at
   /// construction, only the first n_active_shards() ever own anything.
   std::deque<Shard> shards_;
-  /// Serialises engine calls across shards when the detector is not
-  /// replicable (clone_fitted() returned null) and they all share the
-  /// borrowed instance. Unused — never locked — when replicas exist or
-  /// only one shard is active.
-  std::mutex shared_detector_mu_;
-  bool share_detector_ = false;
 
   float threshold_ = 0.0F;
   bool calibrated_ = false;

@@ -4,8 +4,10 @@
 //  1. score_batch is bit-identical to repeated score_step at every batch
 //     size (the contract every batched frontend is built on), and
 //     clone_fitted() replicas score bit-identically to the original;
-//  2. serve::ScoringEngine serves any fitted AnomalyDetector — scores and
-//     alarm events match one sequential OnlineMonitor per stream exactly.
+//  2. the serving stack serves any fitted AnomalyDetector — a 2-shard
+//     serve::AsyncScoringRuntime (shard 1 scoring through a clone_fitted()
+//     replica) matches one sequential OnlineMonitor per stream exactly, in
+//     scores and alarm events.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +18,7 @@
 #include "varade/core/monitor.hpp"
 #include "varade/core/profiles.hpp"
 #include "varade/data/window.hpp"
-#include "varade/serve/scoring_engine.hpp"
+#include "varade/serve/runtime.hpp"
 
 namespace varade::core {
 namespace {
@@ -256,25 +258,28 @@ TEST(ScoringEngineAllDetectors, MultiStreamParityWithSequentialMonitors) {
     for (Index s = 0; s < kStreams; ++s)
       expected.push_back(run_monitor(*detector, inputs[static_cast<std::size_t>(s)], threshold));
 
-    serve::ScoringEngine engine(*detector, rig().normalizer,
-                                {.n_threads = 3, .max_batch = 7, .shard_forward = true});
-    engine.add_streams(kStreams);
-    engine.set_threshold(threshold);
-    // Every detector is replicable, so the sharded path is exercised here.
-    EXPECT_EQ(engine.n_replicas(), 2) << detector->name();
-
-    // Feed in chunks so step() sees many streams pending at once and batches
-    // their contexts.
-    std::vector<std::vector<float>> scores(kStreams);
-    constexpr Index kChunk = 25;
-    for (Index t0 = 0; t0 < 150; t0 += kChunk) {
+    // Two shards: streams 0 and 2 score through the borrowed detector,
+    // streams 1 and 3 through shard 1's clone_fitted() replica.
+    serve::AsyncRuntimeConfig cfg;
+    cfg.engine = {.max_batch = 7};
+    cfg.n_shards = 2;
+    serve::AsyncScoringRuntime runtime(*detector, rig().normalizer, cfg);
+    runtime.add_streams(kStreams);
+    runtime.set_threshold(threshold);
+    runtime.start();
+    // Interleave the streams sample by sample so shard rounds batch them.
+    for (Index t = 0; t < 150; ++t)
       for (Index s = 0; s < kStreams; ++s)
-        for (Index t = t0; t < t0 + kChunk; ++t)
-          engine.push(s, inputs[static_cast<std::size_t>(s)].sample(t), 3);
-      for (const serve::StreamScore& r : engine.step())
-        scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
-    }
-    EXPECT_GT(engine.forward_calls(), 0) << detector->name();
+        ASSERT_EQ(runtime.push(s, inputs[static_cast<std::size_t>(s)].sample(t), 3),
+                  serve::PushResult::Ok)
+            << detector->name();
+    runtime.close();
+    for (Index k = 0; k < 2; ++k)
+      EXPECT_GT(runtime.shard_engine(k).forward_calls(), 0) << detector->name() << " shard " << k;
+
+    std::vector<std::vector<float>> scores(kStreams);
+    for (const serve::StreamScore& r : runtime.drain_scores())
+      scores[static_cast<std::size_t>(r.stream)].push_back(r.score);
 
     for (Index s = 0; s < kStreams; ++s) {
       const auto& got = scores[static_cast<std::size_t>(s)];
@@ -283,7 +288,7 @@ TEST(ScoringEngineAllDetectors, MultiStreamParityWithSequentialMonitors) {
       for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], want[i]) << detector->name() << " stream " << s << " sample " << i;
 
-      const auto& events = engine.events(s);
+      const auto& events = runtime.events(s);
       const auto& want_events = expected[static_cast<std::size_t>(s)].events;
       ASSERT_EQ(events.size(), want_events.size()) << detector->name() << " stream " << s;
       for (std::size_t i = 0; i < events.size(); ++i) {
@@ -294,7 +299,7 @@ TEST(ScoringEngineAllDetectors, MultiStreamParityWithSequentialMonitors) {
         EXPECT_EQ(events[i].peak_score, want_events[i].peak_score)
             << detector->name() << " stream " << s << " event " << i;
       }
-      EXPECT_EQ(engine.in_alarm(s), expected[static_cast<std::size_t>(s)].in_alarm)
+      EXPECT_EQ(runtime.in_alarm(s), expected[static_cast<std::size_t>(s)].in_alarm)
           << detector->name() << " stream " << s;
     }
   }

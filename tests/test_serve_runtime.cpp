@@ -492,7 +492,7 @@ TEST(AsyncScoringRuntime, FourProducersSixteenStreamsMatchSynchronousEngineBitFo
   // Synchronous reference: one ScoringEngine, all samples pushed up front.
   std::vector<StreamRun> want(kStreams);
   {
-    ScoringEngine sync(rig().detector, rig().normalizer, {.n_threads = 1, .max_batch = 8});
+    ScoringEngine sync(rig().detector, rig().normalizer, {.max_batch = 8});
     sync.add_streams(kStreams);
     sync.calibrate(rig().train);
     for (Index s = 0; s < kStreams; ++s)
@@ -509,11 +509,12 @@ TEST(AsyncScoringRuntime, FourProducersSixteenStreamsMatchSynchronousEngineBitFo
 
   // Async run: 4 producer threads, 4 streams each (one producer per stream —
   // the ordering contract), tiny rings so Block backpressure actually bites,
-  // scorer overlapping with the producers throughout.
+  // scorer overlapping with the producers throughout, and a max_batch that
+  // differs from the reference's (scores must not depend on batching).
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 16;
   cfg.backpressure = BackpressurePolicy::Block;
-  cfg.engine = {.n_threads = 2, .max_batch = 8, .shard_forward = true};
+  cfg.engine = {.max_batch = 3};
   AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
   runtime.add_streams(kStreams);
   runtime.calibrate(rig().train);

@@ -67,8 +67,8 @@ ShardRig& rig() {
   return *r;
 }
 
-/// Delegating detector whose clone_fitted() stays null: exercises the
-/// shared-detector fallback (shards serialise on the borrowed instance).
+/// Delegating detector whose clone_fitted() breaks the contract by returning
+/// null: start() must refuse it with a named error instead of dereferencing.
 class NonReplicableDetector : public core::AnomalyDetector {
  public:
   explicit NonReplicableDetector(core::AnomalyDetector& inner) : inner_(&inner) {}
@@ -80,6 +80,7 @@ class NonReplicableDetector : public core::AnomalyDetector {
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override {
     inner_->score_batch(contexts, observed, out);
   }
+  std::unique_ptr<core::AnomalyDetector> clone_fitted() const override { return nullptr; }
   Index context_window() const override { return inner_->context_window(); }
   edge::ModelCost cost() const override { return inner_->cost(); }
   bool fitted() const override { return inner_->fitted(); }
@@ -275,10 +276,9 @@ float rig_threshold() {
 }
 
 /// Synchronous reference: one ScoringEngine, all samples pushed up front.
-std::vector<StreamRun> sync_reference(core::AnomalyDetector& detector,
-                                      const std::vector<data::MultivariateSeries>& inputs) {
+std::vector<StreamRun> sync_reference(const std::vector<data::MultivariateSeries>& inputs) {
   std::vector<StreamRun> want(kParityStreams);
-  ScoringEngine sync(detector, rig().normalizer, {.n_threads = 1, .max_batch = 8});
+  ScoringEngine sync(rig().detector, rig().normalizer, {.max_batch = 8});
   sync.add_streams(kParityStreams);
   sync.set_threshold(rig_threshold());
   for (Index s = 0; s < kParityStreams; ++s)
@@ -298,16 +298,15 @@ std::vector<StreamRun> sync_reference(core::AnomalyDetector& detector,
 /// One async run: n_producers threads (one producer per stream), tiny rings
 /// so Block backpressure bites, concurrent drain_scores() polling merging
 /// the per-shard queues.
-std::vector<StreamRun> async_run(core::AnomalyDetector& detector, Index n_shards,
-                                 Index n_producers,
+std::vector<StreamRun> async_run(Index n_shards, Index n_producers,
                                  const std::vector<data::MultivariateSeries>& inputs,
                                  const std::string& label) {
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 16;
   cfg.backpressure = BackpressurePolicy::Block;
-  cfg.engine = {.n_threads = 1, .max_batch = 8};
+  cfg.engine = {.max_batch = 8};
   cfg.n_shards = n_shards;
-  AsyncScoringRuntime runtime(detector, rig().normalizer, cfg);
+  AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
   runtime.add_streams(kParityStreams);
   runtime.set_threshold(rig_threshold());
   runtime.start();
@@ -371,14 +370,14 @@ std::vector<StreamRun> async_run(core::AnomalyDetector& detector, Index n_shards
 
 TEST(ShardedRuntime, EveryShardCountMatchesSynchronousEngineBitForBit) {
   const auto inputs = parity_inputs();
-  const auto want = sync_reference(rig().detector, inputs);
+  const auto want = sync_reference(inputs);
   // 0 = auto (hardware_concurrency): included so the auto path is exercised
   // whatever this host resolves it to.
   for (const Index n_shards : {1, 2, 4, 0}) {
     for (const Index n_producers : {1, 4}) {
       const std::string label =
           "shards=" + std::to_string(n_shards) + " producers=" + std::to_string(n_producers);
-      const auto got = async_run(rig().detector, n_shards, n_producers, inputs, label);
+      const auto got = async_run(n_shards, n_producers, inputs, label);
       if (::testing::Test::HasFatalFailure()) return;
       for (Index s = 0; s < kParityStreams; ++s)
         expect_same_run(got[static_cast<std::size_t>(s)], want[static_cast<std::size_t>(s)],
@@ -387,42 +386,31 @@ TEST(ShardedRuntime, EveryShardCountMatchesSynchronousEngineBitForBit) {
   }
 }
 
-TEST(ShardedRuntime, NonReplicableDetectorFallsBackToSerializedSharing) {
+TEST(ShardedRuntime, NullCloneIsANamedErrorAtStart) {
   NonReplicableDetector wrapped(rig().detector);
-  ASSERT_EQ(wrapped.clone_fitted(), nullptr);
-  const auto inputs = parity_inputs();
-  // The reference scores are the inner detector's, shared detector or not.
-  const auto want = sync_reference(wrapped, inputs);
-  const auto got = async_run(wrapped, /*n_shards=*/2, /*n_producers=*/4, inputs,
-                             "non-replicable shards=2");
-  if (::testing::Test::HasFatalFailure()) return;
-  for (Index s = 0; s < kParityStreams; ++s)
-    expect_same_run(got[static_cast<std::size_t>(s)], want[static_cast<std::size_t>(s)], s,
-                    "non-replicable shards=2");
-}
-
-TEST(ShardedRuntime, SharingFlagReflectsCloneSupport) {
+  AsyncRuntimeConfig cfg;
+  cfg.n_shards = 2;
   {
-    NonReplicableDetector wrapped(rig().detector);
-    AsyncRuntimeConfig cfg;
-    cfg.n_shards = 2;
     AsyncScoringRuntime runtime(wrapped, rig().normalizer, cfg);
     runtime.add_streams(2);
     runtime.set_threshold(1e9F);
-    runtime.start();
-    EXPECT_TRUE(runtime.sharing_detector());
-    runtime.close();
-  }
-  {
-    AsyncRuntimeConfig cfg;
-    cfg.n_shards = 2;
-    AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
-    runtime.add_streams(2);
-    runtime.set_threshold(1e9F);
-    runtime.start();
-    EXPECT_FALSE(runtime.sharing_detector());  // VARADE clones: replicas
-    runtime.close();
-  }
+    try {
+      runtime.start();
+      ADD_FAILURE() << "start() accepted a null clone_fitted()";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("clone_fitted() returned null"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(runtime.started());
+  }  // destroyed after the failed start(): no scorer thread to join
+  // One shard needs no replica, so the same detector serves unsharded.
+  cfg.n_shards = 1;
+  AsyncScoringRuntime single(wrapped, rig().normalizer, cfg);
+  single.add_streams(2);
+  single.set_threshold(1e9F);
+  single.start();
+  single.close();
+  EXPECT_TRUE(single.closed());
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +421,7 @@ TEST(ShardedRuntime, CloseMidStreamDrainsEveryShard) {
   AsyncRuntimeConfig cfg;
   cfg.ring_capacity = 4096;
   cfg.n_shards = 4;
-  cfg.engine = {.n_threads = 1, .max_batch = 8};
+  cfg.engine = {.max_batch = 8};
   AsyncScoringRuntime runtime(rig().detector, rig().normalizer, cfg);
   runtime.add_streams(6);
   runtime.set_threshold(rig_threshold());
