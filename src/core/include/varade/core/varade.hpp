@@ -12,6 +12,15 @@
 // variance across channels is the anomaly score: the KL prior pulls the
 // variance toward 1 wherever the data do not pin it down, so unfamiliar
 // (anomalous) contexts yield high variance (section 3.2).
+//
+// Two forward paths share the weights. VaradeModel::forward is the module
+// path training runs (and backward needs). Scoring runs the detector's
+// immutable packed inference plan (nn::PackedHalvingNet), built whenever the
+// weights become final — at the end of fit(), in load() and in
+// clone_fitted(). The plan vectorises across output channels, fuses the
+// ReLUs, allocates nothing per call, and skips the mu head for variance
+// scoring, while every logvar stays bit-identical to
+// VaradeModel::forward(x).logvar (pinned by test_varade_parity).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +30,7 @@
 #include "varade/nn/layers.hpp"
 #include "varade/nn/loss.hpp"
 #include "varade/nn/module.hpp"
+#include "varade/nn/packed.hpp"
 
 namespace varade::core {
 
@@ -59,9 +69,15 @@ class VaradeModel {
   /// x: [N, C, T].
   Output forward(const Tensor& x);
 
-  /// Inference-only forward: same arithmetic as forward() but no activation
-  /// caches, so scoring never pays the training path's per-layer copies.
-  Output forward_inference(const Tensor& x);
+  /// Head order of packed(): outs[kPackedLogvar] receives logvar,
+  /// outs[kPackedMu] receives mu.
+  static constexpr Index kPackedLogvar = 0;
+  static constexpr Index kPackedMu = 1;
+
+  /// The packed inference form of the current weights (a copy: later weight
+  /// updates do not reach it). Its heads' outputs equal forward(x)'s bit for
+  /// bit.
+  nn::PackedHalvingNet packed() const;
 
   /// Backward from loss gradients; accumulates parameter gradients.
   void backward(const Tensor& grad_mu, const Tensor& grad_logvar);
@@ -96,17 +112,17 @@ class VaradeDetector : public AnomalyDetector {
   std::string name() const override { return "VARADE"; }
   void fit(const data::MultivariateSeries& train) override;
   float score_step(const Tensor& context, const Tensor& observed) override;
-  /// Native batched scoring: one [B, C, T] forward through the model instead
-  /// of B single-row forwards. Every layer processes batch rows independently
-  /// with a fixed accumulation order, so scores are bit-identical to
-  /// score_step.
+  /// Native batched scoring: one packed-plan call over all B rows instead of
+  /// B single-row calls. The plan computes rows independently with a fixed
+  /// accumulation order, so scores are bit-identical to score_step.
   void score_batch(const Tensor& contexts, const Tensor& observed, float* out) override;
-  /// Fresh detector with the same architecture and a deep copy of the
-  /// weights; each serving shard scores through its own replica.
+  /// Fresh detector with the same architecture, a deep copy of the weights
+  /// and its own packed plan; each serving shard scores through its own
+  /// replica.
   std::unique_ptr<AnomalyDetector> clone_fitted() const override;
   Index context_window() const override { return config_.window; }
   edge::ModelCost cost() const override;
-  bool fitted() const override { return model_ != nullptr; }
+  bool fitted() const override { return plan_ != nullptr; }
 
   /// Mean predicted variance over channels for a context [C, T] — the paper's
   /// anomaly score.
@@ -128,15 +144,30 @@ class VaradeDetector : public AnomalyDetector {
   /// detector trained offline can be deployed to the edge device.
   void save(const std::string& path) const;
 
-  /// Restores a detector saved with save(); replaces config and weights.
+  /// Restores a detector saved with save(); replaces config, weights and
+  /// plan. Transactional: on any error (missing, truncated or mismatched
+  /// file) it throws and leaves the detector exactly as it was.
   void load(const std::string& path);
 
+  /// The module-path model. Scoring runs the packed plan built from it when
+  /// the weights became final, so changing weights through this pointer does
+  /// not change scores.
   VaradeModel* model() { return model_.get(); }
   const VaradeConfig& config() const { return config_; }
 
  private:
+  /// Installs a model whose weights are final, with its packed plan.
+  void commit(std::unique_ptr<VaradeModel> model);
+  /// Throws the standard "scoring before fit" error unless fitted.
+  void require_fitted() const;
+  /// Runs one context [C, T] through the plan computing only `head`
+  /// (VaradeModel::kPackedLogvar or kPackedMu); returns its C outputs, valid
+  /// in per-thread scratch until this thread's next scoring call.
+  const float* plan_head(const Tensor& context, Index head) const;
+
   VaradeConfig config_;
   std::unique_ptr<VaradeModel> model_;
+  std::unique_ptr<const nn::PackedHalvingNet> plan_;  // built from model_
   std::vector<float> loss_history_;
 };
 

@@ -91,15 +91,15 @@ VaradeModel::Output VaradeModel::forward(const Tensor& x) {
   return out;
 }
 
-VaradeModel::Output VaradeModel::forward_inference(const Tensor& x) {
-  check(x.rank() == 3 && x.dim(1) == in_channels_ && x.dim(2) == window_,
-        "VARADE forward expects [N, " + std::to_string(in_channels_) + ", " +
-            std::to_string(window_) + "], got " + shape_to_string(x.shape()));
-  const Tensor features = trunk_.forward_inference(x);
-  Output out;
-  out.mu = mu_head_->forward_inference(features);
-  out.logvar = logvar_head_->forward_inference(features);
-  return out;
+nn::PackedHalvingNet VaradeModel::packed() const {
+  std::vector<const nn::Conv1d*> convs;
+  for (std::size_t i = 0; i < trunk_.size(); ++i)
+    if (const auto* conv = dynamic_cast<const nn::Conv1d*>(&trunk_.layer(i)))
+      convs.push_back(conv);
+  std::vector<const nn::Linear*> heads(2);
+  heads[kPackedLogvar] = logvar_head_.get();
+  heads[kPackedMu] = mu_head_.get();
+  return nn::PackedHalvingNet(window_, convs, heads);
 }
 
 void VaradeModel::backward(const Tensor& grad_mu, const Tensor& grad_logvar) {
@@ -142,14 +142,14 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
   check(train.length() > config_.window + 1,
         "VARADE training series shorter than one window");
   Rng rng(config_.seed);
-  model_ = std::make_unique<VaradeModel>(train.n_channels(), config_, rng);
+  auto model = std::make_unique<VaradeModel>(train.n_channels(), config_, rng);
 
   const data::WindowDataset dataset(train, {config_.window, config_.train_stride});
   check(dataset.size() > 0, "no training windows available");
 
   nn::Adam optimizer(config_.learning_rate);
-  auto params = model_->parameters();
-  loss_history_.clear();
+  auto params = model->parameters();
+  std::vector<float> history;
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     const auto batches = make_batches(dataset.size(), config_.batch_size, rng);
@@ -160,12 +160,12 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
       Tensor targets;
       dataset.gather(batch, contexts, targets);
 
-      model_->zero_grad();
-      VaradeModel::Output out = model_->forward(contexts);
+      model->zero_grad();
+      VaradeModel::Output out = model->forward(contexts);
       const nn::VariationalLossResult loss =
           nn::elbo_loss(out.mu, out.logvar, targets, config_.lambda);
       check(std::isfinite(loss.value), "VARADE training diverged (non-finite loss)");
-      model_->backward(loss.grad_mu, loss.grad_logvar);
+      model->backward(loss.grad_mu, loss.grad_logvar);
       nn::clip_grad_norm(params, config_.grad_clip);
       optimizer.step(params);
 
@@ -173,10 +173,24 @@ void VaradeDetector::fit(const data::MultivariateSeries& train) {
       ++n_batches;
     }
     const float mean_loss = static_cast<float>(epoch_loss / std::max(1L, n_batches));
-    loss_history_.push_back(mean_loss);
+    history.push_back(mean_loss);
     if (config_.verbose)
       std::printf("[VARADE] epoch %d/%d  loss %.5f\n", epoch + 1, config_.epochs, mean_loss);
   }
+  // The weights are final: only now does the detector switch to the new
+  // model and plan, so a failed fit leaves the previous state untouched.
+  commit(std::move(model));
+  loss_history_ = std::move(history);
+}
+
+void VaradeDetector::commit(std::unique_ptr<VaradeModel> model) {
+  auto plan = std::make_unique<const nn::PackedHalvingNet>(model->packed());
+  model_ = std::move(model);
+  plan_ = std::move(plan);
+}
+
+void VaradeDetector::require_fitted() const {
+  if (!fitted()) fail("VARADE scoring before fit");
 }
 
 float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
@@ -187,20 +201,45 @@ float VaradeDetector::score_from_logvar(const float* logvar, Index n) {
   return static_cast<float>(acc / static_cast<double>(n));
 }
 
+namespace {
+
+/// Per-thread head-output scratch: scoring allocates nothing once warm, and
+/// threads scoring through one detector never share it.
+float* head_scratch(Index floats) {
+  thread_local std::vector<float> scratch;
+  if (static_cast<Index>(scratch.size()) < floats)
+    scratch.resize(static_cast<std::size_t>(floats));
+  return scratch.data();
+}
+
+}  // namespace
+
+const float* VaradeDetector::plan_head(const Tensor& context, Index head) const {
+  require_fitted();
+  const Index channels = plan_->in_channels();
+  if (context.rank() != 2 || context.dim(0) != channels || context.dim(1) != config_.window)
+    fail("VARADE scoring expects a context [", channels, ", ", config_.window, "], got ",
+         shape_to_string(context.shape()));
+  float* values = head_scratch(channels);
+  float* outs[2] = {};
+  outs[head] = values;  // the other head is skipped
+  plan_->forward(context.data(), 1, outs);
+  return values;
+}
+
 float VaradeDetector::variance_score(const Tensor& context) {
-  check(fitted(), "VARADE scoring before fit");
-  const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
-  const VaradeModel::Output out = model_->forward_inference(batch);
-  return score_from_logvar(out.logvar.data(), out.logvar.numel());
+  const float* logvar = plan_head(context, VaradeModel::kPackedLogvar);
+  return score_from_logvar(logvar, plan_->in_channels());
 }
 
 float VaradeDetector::forecast_error_score(const Tensor& context, const Tensor& observed) {
-  check(fitted(), "VARADE scoring before fit");
-  const Tensor batch = context.reshaped({1, context.dim(0), context.dim(1)});
-  const VaradeModel::Output out = model_->forward_inference(batch);
+  const float* mu = plan_head(context, VaradeModel::kPackedMu);
+  const Index channels = plan_->in_channels();
+  if (observed.numel() != channels)
+    fail("VARADE forecast error expects ", channels, " observed values, got ", observed.numel());
   double acc = 0.0;
-  for (Index i = 0; i < out.mu.numel(); ++i) {
-    const double d = static_cast<double>(out.mu[i]) - observed[i];
+  for (Index i = 0; i < channels; ++i) {
+    const double d = static_cast<double>(mu[i]) - observed[i];
     acc += d * d;
   }
   return static_cast<float>(std::sqrt(acc));
@@ -213,24 +252,28 @@ float VaradeDetector::score_step(const Tensor& context, const Tensor& /*observed
 }
 
 void VaradeDetector::score_batch(const Tensor& contexts, const Tensor& observed, float* out) {
-  check(fitted(), "VARADE scoring before fit");
+  require_fitted();
   check_batch_args(contexts, observed);
-  const Index channels = contexts.dim(1);
+  const Index channels = plan_->in_channels();
+  check_batch_channels(contexts, channels);
   const Index b = contexts.dim(0);
   if (b == 0) return;
-  // The trunk convolutions and heads compute every batch row independently,
-  // so one [B, C, T] forward scores each row bit-identically to score_step.
-  const VaradeModel::Output batch_out = model_->forward_inference(contexts);
-  for (Index r = 0; r < b; ++r)
-    out[r] = score_from_logvar(batch_out.logvar.data() + r * channels, channels);
+  // The plan computes every row independently, so one call over all B rows
+  // scores each row bit-identically to score_step.
+  float* logvar = head_scratch(b * channels);
+  float* outs[2] = {};
+  outs[VaradeModel::kPackedLogvar] = logvar;
+  plan_->forward(contexts.data(), b, outs);
+  for (Index r = 0; r < b; ++r) out[r] = score_from_logvar(logvar + r * channels, channels);
 }
 
 std::unique_ptr<AnomalyDetector> VaradeDetector::clone_fitted() const {
   check(fitted(), "cannot clone an unfitted VARADE detector");
   auto clone = std::make_unique<VaradeDetector>(config_);
   Rng rng(config_.seed);
-  clone->model_ = std::make_unique<VaradeModel>(model_->in_channels(), config_, rng);
-  nn::copy_parameter_values(model_->parameters(), clone->model_->parameters());
+  auto model = std::make_unique<VaradeModel>(model_->in_channels(), config_, rng);
+  nn::copy_parameter_values(model_->parameters(), model->parameters());
+  clone->commit(std::move(model));
   clone->loss_history_ = loss_history_;
   return clone;
 }
@@ -262,14 +305,19 @@ void VaradeDetector::load(const std::string& path) {
         "unsupported detector file version " + std::to_string(version));
   const auto in_channels = static_cast<Index>(read_pod<std::int64_t>(f));
   check(in_channels > 0 && in_channels < (1 << 20), "implausible channel count");
-  config_.window = static_cast<Index>(read_pod<std::int64_t>(f));
-  config_.base_channels = static_cast<Index>(read_pod<std::int64_t>(f));
-  config_.lambda = read_pod<float>(f);
+  // Everything is read and built into locals first; the detector changes
+  // only once the whole file has loaded.
+  VaradeConfig config = config_;
+  config.window = static_cast<Index>(read_pod<std::int64_t>(f));
+  config.base_channels = static_cast<Index>(read_pod<std::int64_t>(f));
+  config.lambda = read_pod<float>(f);
 
-  Rng rng(config_.seed);
-  model_ = std::make_unique<VaradeModel>(in_channels, config_, rng);
-  VaradeParams params(*model_);
+  Rng rng(config.seed);
+  auto model = std::make_unique<VaradeModel>(in_channels, config, rng);
+  VaradeParams params(*model);
   nn::load_weights(params, f);
+  commit(std::move(model));
+  config_ = config;
   loss_history_.clear();
 }
 

@@ -6,6 +6,7 @@
 //  - Temporal layers operate on channels-first sequences [N, C, L].
 #pragma once
 
+#include "varade/nn/kernels.hpp"
 #include "varade/nn/module.hpp"
 
 namespace varade::nn {
@@ -27,6 +28,8 @@ class Linear : public Module {
   Index out_features() const { return out_; }
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
+  const Parameter& weight() const { return weight_; }
+  const Parameter& bias() const { return bias_; }
 
  private:
   /// The computation itself, shared by forward and forward_inference so both
@@ -79,7 +82,9 @@ class Conv1d : public Module {
          Rng& rng);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward_inference(const Tensor& x) override;
+  Tensor forward_inference(const Tensor& x) override { return forward_inference(x, kernels()); }
+  /// forward_inference through an explicit kernel set (see kernels.hpp).
+  Tensor forward_inference(const Tensor& x, const KernelTable& kernels) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "Conv1d"; }
@@ -91,6 +96,8 @@ class Conv1d : public Module {
   Index kernel_size() const { return kernel_; }
   Index stride() const { return stride_; }
   Index padding() const { return padding_; }
+  const Parameter& weight() const { return weight_; }  // [out_ch, in_ch, kernel]
+  const Parameter& bias() const { return bias_; }      // [out_ch]
 
   /// Output length for an input of length `l`.
   Index out_length(Index l) const;
@@ -112,12 +119,9 @@ class Conv1d : public Module {
   Tensor cached_input_;
 };
 
-/// Name of the convolution inference kernel set selected by the runtime
-/// dispatch table ("avx2" or "scalar"): resolved once at first use via
-/// __builtin_cpu_supports, shared by Conv1d::forward_inference and
-/// ConvTranspose1d::forward_inference. Exposed so tests can assert the
-/// vectorised path actually runs (including under sanitizers, where the
-/// previous ifunc-based multiversioning silently fell back to scalar).
+/// Name of the kernel set the runtime dispatch selected (kernels().name):
+/// "avx2" or "scalar". Exposed so tests can assert the vectorised path
+/// actually runs, including under sanitizers.
 const char* conv1d_kernel_name();
 
 /// 1-D transposed convolution (upsampling), inverse geometry of Conv1d with
@@ -128,7 +132,9 @@ class ConvTranspose1d : public Module {
                   Rng& rng);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward_inference(const Tensor& x) override;
+  Tensor forward_inference(const Tensor& x) override { return forward_inference(x, kernels()); }
+  /// forward_inference through an explicit kernel set (see kernels.hpp).
+  Tensor forward_inference(const Tensor& x, const KernelTable& kernels) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::string name() const override { return "ConvTranspose1d"; }

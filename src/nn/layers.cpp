@@ -131,267 +131,6 @@ Tensor Tanh::backward(const Tensor& grad_out) {
 
 // ---------------------------------------------------------------- Conv1d ----
 
-namespace {
-
-// Runtime dispatch for the convolution inference kernels: each kernel body
-// is an always_inline template compiled twice — once plain, once inside an
-// __attribute__((target("avx2"))) wrapper so the compiler vectorises it four
-// doubles wide (FMA stays off — a contracted fused multiply-add would round
-// differently and break the bit-parity contract with the scalar path) — and
-// an explicit function-pointer table picks per host via
-// __builtin_cpu_supports("avx2"), resolved once at first use.
-//
-// This replaces the earlier target_clones multiversioning: ifunc resolvers
-// run before sanitizer runtimes are initialised, so TSan builds had to
-// disable the clones entirely (silently pinning TSan CI to the scalar
-// kernel) and ASan builds depended on resolver ordering luck. A plain
-// static-local table has neither problem — sanitized builds now exercise
-// the same vectorised kernel as release builds, asserted by
-// conv1d_kernel_name() in the test suite.
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target)
-#define VARADE_CONV_MULTIARCH 1
-#endif
-#endif
-
-/// Interior output steps of a Conv1d inference forward: every window is
-/// fully in bounds (t in [t_lo, t_hi)), so the accumulation runs k-major
-/// over blocks of output steps — each lane keeps its own double accumulator
-/// fed in ascending-k order, which is exactly the scalar reference's
-/// per-element order, just unrolled across independent outputs so the
-/// compiler can vectorise. `py` rows must already hold the bias.
-#define VARADE_CONV_INLINE inline __attribute__((always_inline))
-
-/// One output-channel row of interior steps for compile-time kernel size K
-/// and stride S (the model hot paths: the residual-block k3/s1 convolutions
-/// and VARADE's halving k2/s2 trunk). Full 8-wide blocks run with
-/// compile-time loop bounds, so the y-block and the per-lane double
-/// accumulators live in registers and the K loop fully unrolls; the ragged
-/// tail keeps the scalar reference loop. always_inline: the body must be
-/// inlined into the multiversioned caller so the AVX2 clone compiles it
-/// with AVX2 (an out-of-line copy would be baseline ISA).
-template <Index K, Index S>
-VARADE_CONV_INLINE void conv1d_interior_row_ks(const float* xb, const float* wc, float* yc,
-                                               Index in_ch, Index l_in, Index padding,
-                                               Index t_lo, Index t_hi) {
-  constexpr Index kBlock = 8;
-  Index t0 = t_lo;
-  for (; t0 + kBlock <= t_hi; t0 += kBlock) {
-    float yv[kBlock];
-    for (Index j = 0; j < kBlock; ++j) yv[j] = yc[t0 + j];
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xrow = xb + ci * l_in + t0 * S - padding;
-      const float* wk = wc + ci * K;
-      double acc[kBlock];
-      for (Index j = 0; j < kBlock; ++j) acc[j] = 0.0;
-      for (Index k = 0; k < K; ++k) {
-        const float* xk = xrow + k;
-        const double wv = static_cast<double>(wk[k]);
-        for (Index j = 0; j < kBlock; ++j) acc[j] += wv * xk[j * S];
-      }
-      for (Index j = 0; j < kBlock; ++j) yv[j] += static_cast<float>(acc[j]);
-    }
-    for (Index j = 0; j < kBlock; ++j) yc[t0 + j] = yv[j];
-  }
-  for (Index t = t0; t < t_hi; ++t) {
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xrow = xb + ci * l_in + t * S - padding;
-      const float* wk = wc + ci * K;
-      double acc = 0.0;
-      for (Index k = 0; k < K; ++k) acc += static_cast<double>(wk[k]) * xrow[k];
-      yc[t] += static_cast<float>(acc);
-    }
-  }
-}
-
-/// Generic interior fallback (any kernel/stride): the scalar reference loop
-/// minus the bounds checks. Kept deliberately simple — blocked variants
-/// with runtime strides measured slower than this on the odd geometries.
-VARADE_CONV_INLINE void conv1d_interior_row(const float* xb, const float* wc, float* yc,
-                                            Index in_ch, Index l_in, Index kernel,
-                                            Index stride, Index padding, Index t_lo,
-                                            Index t_hi) {
-  for (Index ci = 0; ci < in_ch; ++ci) {
-    const float* xc = xb + ci * l_in;
-    const float* wk = wc + ci * kernel;
-    for (Index t = t_lo; t < t_hi; ++t) {
-      const float* xrow = xc + t * stride - padding;
-      double acc = 0.0;
-      for (Index k = 0; k < kernel; ++k) acc += static_cast<double>(wk[k]) * xrow[k];
-      yc[t] += static_cast<float>(acc);
-    }
-  }
-}
-
-VARADE_CONV_INLINE void conv1d_interior_impl(const float* px, const float* pw, float* py,
-                                             Index n, Index in_ch, Index out_ch, Index l_in,
-                                             Index l_out, Index kernel, Index stride,
-                                             Index padding, Index t_lo, Index t_hi) {
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch * l_in;
-    float* yb = py + b * out_ch * l_out;
-    for (Index co = 0; co < out_ch; ++co) {
-      const float* wc = pw + co * in_ch * kernel;
-      float* yc = yb + co * l_out;
-      if (stride == 1 && kernel == 3) {
-        conv1d_interior_row_ks<3, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 1 && kernel == 2) {
-        conv1d_interior_row_ks<2, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 1 && kernel == 5) {
-        conv1d_interior_row_ks<5, 1>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else if (stride == 2 && kernel == 2) {
-        conv1d_interior_row_ks<2, 2>(xb, wc, yc, in_ch, l_in, padding, t_lo, t_hi);
-      } else {
-        conv1d_interior_row(xb, wc, yc, in_ch, l_in, kernel, stride, padding, t_lo, t_hi);
-      }
-    }
-  }
-}
-
-/// Non-overlapping ConvTranspose1d scatter row (stride >= kernel) for
-/// compile-time kernel size K and stride S — the AE decoder's k2/s2
-/// upsampling layers. Blocks of input steps write disjoint output ranges,
-/// so a dense block (all lanes nonzero) can run k-major without branches and
-/// vectorise; any block containing a zero falls back to the per-element
-/// skip-zero loop so apply()'s observable semantics (no += of 0*w, which
-/// could flip a -0.0 or materialise a NaN from a non-finite weight) are
-/// preserved exactly. The zero skip matters here: these layers sit behind a
-/// ReLU, so exact zeros are common in the decoder input.
-template <Index K, Index S>
-VARADE_CONV_INLINE void convt1d_row_ks(const float* xc, const float* wk, float* yc,
-                                       Index l_in) {
-  static_assert(S >= K, "blocked scatter requires non-overlapping outputs");
-  constexpr Index kBlock = 8;
-  Index t0 = 0;
-  for (; t0 + kBlock <= l_in; t0 += kBlock) {
-    bool dense = true;
-    for (Index j = 0; j < kBlock; ++j) dense &= (xc[t0 + j] != 0.0F);
-    if (dense) {
-      // Every (t, k) pair hits a distinct output element, so the k-major
-      // order below produces bit-identical results to the t-major reference.
-      for (Index k = 0; k < K; ++k) {
-        const float wv = wk[k];
-        for (Index j = 0; j < kBlock; ++j) yc[(t0 + j) * S + k] += xc[t0 + j] * wv;
-      }
-      continue;
-    }
-    for (Index j = 0; j < kBlock; ++j) {
-      const float xv = xc[t0 + j];
-      if (xv == 0.0F) continue;
-      float* yp = yc + (t0 + j) * S;
-      for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
-    }
-  }
-  for (Index t = t0; t < l_in; ++t) {
-    const float xv = xc[t];
-    if (xv == 0.0F) continue;
-    float* yp = yc + t * S;
-    for (Index k = 0; k < K; ++k) yp[k] += xv * wk[k];
-  }
-}
-
-/// Generic scatter row: apply()'s per-element loop for any geometry.
-VARADE_CONV_INLINE void convt1d_row(const float* xc, const float* wk, float* yc, Index l_in,
-                                    Index kernel, Index stride) {
-  for (Index t = 0; t < l_in; ++t) {
-    const float xv = xc[t];
-    if (xv == 0.0F) continue;
-    float* yp = yc + t * stride;
-    for (Index k = 0; k < kernel; ++k) yp[k] += xv * wk[k];
-  }
-}
-
-/// ConvTranspose1d scatter over bias-filled output rows, non-overlapping
-/// geometries only (stride >= kernel — the caller keeps overlapping ones on
-/// the scalar reference). Loop nest matches apply(): ci outer, so each
-/// output element accumulates its per-input-channel contributions in
-/// ascending-ci order.
-VARADE_CONV_INLINE void convt1d_scatter_impl(const float* px, const float* pw, float* py,
-                                             Index n, Index in_ch, Index out_ch, Index l_in,
-                                             Index l_out, Index kernel, Index stride) {
-  for (Index b = 0; b < n; ++b) {
-    const float* xb = px + b * in_ch * l_in;
-    float* yb = py + b * out_ch * l_out;
-    for (Index ci = 0; ci < in_ch; ++ci) {
-      const float* xc = xb + ci * l_in;
-      for (Index co = 0; co < out_ch; ++co) {
-        const float* wk = pw + (ci * out_ch + co) * kernel;
-        float* yc = yb + co * l_out;
-        if (kernel == 2 && stride == 2)
-          convt1d_row_ks<2, 2>(xc, wk, yc, l_in);
-        else
-          convt1d_row(xc, wk, yc, l_in, kernel, stride);
-      }
-    }
-  }
-}
-
-// ------------------------------------------------ kernel dispatch table ----
-
-using Conv1dInteriorFn = void (*)(const float*, const float*, float*, Index, Index, Index,
-                                  Index, Index, Index, Index, Index, Index, Index);
-using ConvT1dScatterFn = void (*)(const float*, const float*, float*, Index, Index, Index,
-                                  Index, Index, Index, Index);
-
-struct KernelTable {
-  Conv1dInteriorFn conv1d_interior;
-  ConvT1dScatterFn convt1d_scatter;
-  const char* name;
-};
-
-void conv1d_interior_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
-                            Index out_ch, Index l_in, Index l_out, Index kernel, Index stride,
-                            Index padding, Index t_lo, Index t_hi) {
-  conv1d_interior_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride, padding,
-                       t_lo, t_hi);
-}
-
-void convt1d_scatter_scalar(const float* px, const float* pw, float* py, Index n, Index in_ch,
-                            Index out_ch, Index l_in, Index l_out, Index kernel,
-                            Index stride) {
-  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
-}
-
-#ifdef VARADE_CONV_MULTIARCH
-// The always_inline impl bodies are compiled again inside these wrappers, so
-// the target("avx2") attribute applies to every loop in them.
-__attribute__((target("avx2"))) void conv1d_interior_avx2(const float* px, const float* pw,
-                                                          float* py, Index n, Index in_ch,
-                                                          Index out_ch, Index l_in,
-                                                          Index l_out, Index kernel,
-                                                          Index stride, Index padding,
-                                                          Index t_lo, Index t_hi) {
-  conv1d_interior_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride, padding,
-                       t_lo, t_hi);
-}
-
-__attribute__((target("avx2"))) void convt1d_scatter_avx2(const float* px, const float* pw,
-                                                          float* py, Index n, Index in_ch,
-                                                          Index out_ch, Index l_in,
-                                                          Index l_out, Index kernel,
-                                                          Index stride) {
-  convt1d_scatter_impl(px, pw, py, n, in_ch, out_ch, l_in, l_out, kernel, stride);
-}
-#endif
-
-/// The selected kernel set. Resolution runs once (static local, thread-safe
-/// under C++ magic statics) on first use — well after any sanitizer runtime
-/// is up, unlike an ifunc resolver.
-const KernelTable& kernels() {
-  static const KernelTable table = [] {
-#ifdef VARADE_CONV_MULTIARCH
-    if (__builtin_cpu_supports("avx2"))
-      return KernelTable{conv1d_interior_avx2, convt1d_scatter_avx2, "avx2"};
-#endif
-    return KernelTable{conv1d_interior_scalar, convt1d_scatter_scalar, "scalar"};
-  }();
-  return table;
-}
-
-}  // namespace
-
-const char* conv1d_kernel_name() { return kernels().name; }
-
 Conv1d::Conv1d(Index in_channels, Index out_channels, Index kernel_size, Index stride,
                Index padding, Rng& rng)
     : in_ch_(in_channels),
@@ -417,7 +156,9 @@ Tensor Conv1d::forward(const Tensor& x) {
   return apply(x);
 }
 
-Tensor Conv1d::forward_inference(const Tensor& x) {
+const char* conv1d_kernel_name() { return kernels().name; }
+
+Tensor Conv1d::forward_inference(const Tensor& x, const KernelTable& kernels) const {
   // Vectorised inference kernel. Every output element is still bias plus
   // ascending-ci float additions of ascending-k double dot products —
   // apply()'s exact per-element accumulation order, so the results are
@@ -469,8 +210,8 @@ Tensor Conv1d::forward_inference(const Tensor& x) {
       }
     }
   }
-  kernels().conv1d_interior(px, pw, py, n, in_ch_, out_ch_, l_in, l_out, kernel_, stride_,
-                            padding_, t_lo, t_hi);
+  kernels.conv1d_interior(px, pw, py, n, in_ch_, out_ch_, l_in, l_out, kernel_, stride_,
+                          padding_, t_lo, t_hi);
   return y;
 }
 
@@ -587,7 +328,7 @@ Tensor ConvTranspose1d::forward(const Tensor& x) {
   return apply(x);
 }
 
-Tensor ConvTranspose1d::forward_inference(const Tensor& x) {
+Tensor ConvTranspose1d::forward_inference(const Tensor& x, const KernelTable& kernels) const {
   // Blocked scatter through the kernel dispatch table. Only non-overlapping
   // geometries (stride >= kernel, which covers the AE decoder's k2/s2
   // upsampling) take the fast path: every output element then receives at
@@ -609,8 +350,8 @@ Tensor ConvTranspose1d::forward_inference(const Tensor& x) {
       for (Index t = 0; t < l_out; ++t) yc[t] = pb[co];
     }
   }
-  kernels().convt1d_scatter(x.data(), weight_.value.data(), py, n, in_ch_, out_ch_, l_in,
-                            l_out, kernel_, stride_);
+  kernels.convt1d_scatter(x.data(), weight_.value.data(), py, n, in_ch_, out_ch_, l_in,
+                          l_out, kernel_, stride_);
   return y;
 }
 

@@ -17,10 +17,12 @@
 // live in one contiguous [n_streams, C, T] float slab (ring-indexed per
 // stream), raw pushed samples are staged in one append-only arena, and all
 // bookkeeping (ring positions, warm-up counts, scores) is flat parallel
-// arrays. Pushing a sample and scoring a round allocate nothing per stream,
-// step()'s gather memcpys from contiguous slab rows, and normalisation runs
-// vectorised over the round's stream-major slab — the layout that keeps
-// 100k–1M streams memory- and cache-viable on one host.
+// arrays. Pushing a sample allocates nothing per stream and a round
+// allocates nothing once the engine has seen its largest round:
+// normalisation writes each arena row straight into the round's
+// stream-major slab, and step()'s gather memcpys from contiguous slab rows
+// into reused batch tensors — the layout that keeps 100k–1M streams memory-
+// and cache-viable on one host.
 //
 // The engine is generic over core::AnomalyDetector: any of the paper's six
 // detectors plugs in unchanged.
@@ -211,7 +213,6 @@ class ScoringEngine {
 
   // Round-scratch slabs reused across step() rounds (sized to the round's
   // active streams; capacity retained).
-  std::vector<float> round_raw_;           // [n_active, C] raw samples
   std::vector<float> round_norm_;          // [n_active, C] normalised samples
   std::vector<std::uint8_t> round_ready_;  // per active stream: ring was full
   std::vector<Index> active_;
@@ -219,6 +220,11 @@ class ScoringEngine {
   std::vector<Index> ready_;
   std::vector<Index> ready_pos_;  // index into the round slabs per ready row
   std::vector<float> ready_scores_;  // score_batch output per ready row
+  // score_batch inputs per max_batch chunk of ready rows, [rows, C, T] and
+  // [rows, C]: resized in place each round, so a round allocates nothing
+  // once the engine has seen its largest round.
+  std::vector<Tensor> chunk_contexts_;
+  std::vector<Tensor> chunk_observed_;
 };
 
 }  // namespace varade::serve

@@ -141,33 +141,38 @@ std::vector<StreamScore> ScoringEngine::step() {
     const auto n_active = static_cast<Index>(active_.size());
     const std::int64_t t_stage = obs::tick();
 
-    // Phase 1a: stage this round's raw sample from the arena into the round
-    // slab and flag streams whose ring already holds a full context. The
-    // sampled enqueue timestamps ride along so push->score latency can be
-    // recorded when the round completes.
-    round_raw_.resize(static_cast<std::size_t>(
-        checked_mul(n_active, channels, "round staging slab")));
-    round_norm_.resize(round_raw_.size());
+    // Phase 1a (stage): flag streams whose ring already holds a full
+    // context. The sampled enqueue timestamps ride along so push->score
+    // latency can be recorded when the round completes.
+    round_norm_.resize(static_cast<std::size_t>(
+        checked_mul(n_active, channels, "round normalisation slab")));
     round_ready_.resize(static_cast<std::size_t>(n_active));
     if constexpr (obs::kEnabled) round_ts_.resize(static_cast<std::size_t>(n_active));
+    // Arena row of stream s's next unconsumed sample.
+    const auto arena_row = [this](std::size_t s) {
+      return pending_[s][static_cast<std::size_t>(pending_head_[s])];
+    };
     for (Index i = 0; i < n_active; ++i) {
       const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
-      const Index offset = pending_[s][static_cast<std::size_t>(pending_head_[s])];
-      const float* src = pending_arena_.data() + offset * channels;
-      std::copy(src, src + channels, round_raw_.data() + i * channels);
       round_ready_[static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(ring_fill_[s] == window);
       score_[s] = -1.0F;
       if constexpr (obs::kEnabled)
-        round_ts_[static_cast<std::size_t>(i)] = pending_ts_[static_cast<std::size_t>(offset)];
+        round_ts_[static_cast<std::size_t>(i)] =
+            pending_ts_[static_cast<std::size_t>(arena_row(s))];
     }
     const std::int64_t t_norm = obs::tick();
     obs::record_span(phase_hist_[0], t_stage, t_norm);
 
-    // Phase 1b: vectorised normalisation of the whole round in stream-major
-    // order — the same arithmetic per element as transform_sample, so
-    // results are bit-identical.
-    normalizer_->transform_rows(round_raw_.data(), n_active, round_norm_.data());
+    // Phase 1b (normalize): each stream's raw sample goes from the arena
+    // straight into the round slab through transform_rows — the same
+    // arithmetic per element as transform_sample, so results are
+    // bit-identical.
+    for (Index i = 0; i < n_active; ++i) {
+      const auto s = static_cast<std::size_t>(active_[static_cast<std::size_t>(i)]);
+      normalizer_->transform_rows(pending_arena_.data() + arena_row(s) * channels, 1,
+                                  round_norm_.data() + i * channels);
+    }
     obs::record_span(phase_hist_[1], t_norm, obs::tick());
 
     ready_.clear();
@@ -181,25 +186,30 @@ std::vector<StreamScore> ScoringEngine::step() {
 
     if (!ready_.empty()) {
       // Phase 2a: unroll slab context rings and current observations
-      // straight into per-chunk [rows, C, T] / [rows, C] batches.
+      // straight into the reused per-chunk [rows, C, T] / [rows, C] batches.
       const std::int64_t t_gather = obs::tick();
       const auto n_ready = static_cast<Index>(ready_.size());
-      std::vector<Tensor> contexts;
-      std::vector<Tensor> observations;
-      for (Index b = 0; b < n_ready; b += config_.max_batch) {
-        const Index rows = std::min(config_.max_batch, n_ready - b);
-        contexts.emplace_back(Shape{rows, channels, window});
-        observations.emplace_back(Shape{rows, channels});
+      const Index max_batch = config_.max_batch;
+      const auto n_chunks = static_cast<std::size_t>((n_ready + max_batch - 1) / max_batch);
+      while (chunk_contexts_.size() < n_chunks) {
+        chunk_contexts_.emplace_back(Shape{0, channels, window});
+        chunk_observed_.emplace_back(Shape{0, channels});
+      }
+      for (std::size_t ci = 0; ci < n_chunks; ++ci) {
+        const Index rows = std::min(max_batch, n_ready - static_cast<Index>(ci) * max_batch);
+        chunk_contexts_[ci].resize_rows(rows);
+        chunk_observed_[ci].resize_rows(rows);
       }
       for (Index i = 0; i < n_ready; ++i) {
         const auto s = static_cast<std::size_t>(ready_[static_cast<std::size_t>(i)]);
-        const auto chunk = static_cast<std::size_t>(i / config_.max_batch);
-        const Index row = i % config_.max_batch;
+        const auto chunk = static_cast<std::size_t>(i / max_batch);
+        const Index row = i % max_batch;
         core::write_context(ctx_slab_.data() + static_cast<Index>(s) * row_floats, channels,
-                            window, ring_start_[s], contexts[chunk].data() + row * row_floats);
+                            window, ring_start_[s],
+                            chunk_contexts_[chunk].data() + row * row_floats);
         const float* norm = round_norm_.data() +
                             ready_pos_[static_cast<std::size_t>(i)] * channels;
-        std::copy(norm, norm + channels, observations[chunk].data() + row * channels);
+        std::copy(norm, norm + channels, chunk_observed_[chunk].data() + row * channels);
       }
 
       const std::int64_t t_score = obs::tick();
@@ -208,9 +218,10 @@ std::vector<StreamScore> ScoringEngine::step() {
       // Phase 2b: one score_batch call per chunk (chunk ci holds ready rows
       // [ci * max_batch, ...)), then scatter the scores to their streams.
       ready_scores_.resize(static_cast<std::size_t>(n_ready));
-      for (std::size_t ci = 0; ci < contexts.size(); ++ci) {
-        const Index row0 = static_cast<Index>(ci) * config_.max_batch;
-        detector_->score_batch(contexts[ci], observations[ci], ready_scores_.data() + row0);
+      for (std::size_t ci = 0; ci < n_chunks; ++ci) {
+        const Index row0 = static_cast<Index>(ci) * max_batch;
+        detector_->score_batch(chunk_contexts_[ci], chunk_observed_[ci],
+                               ready_scores_.data() + row0);
         ++forward_calls_;
       }
       for (Index i = 0; i < n_ready; ++i)

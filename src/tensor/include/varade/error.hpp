@@ -20,6 +20,11 @@ inline void check(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
 
+/// Literal-message form: builds no std::string unless the check fails.
+inline void check(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
+
 /// Builds an error message from streamable parts, then throws.
 template <typename... Parts>
 [[noreturn]] void fail(const Parts&... parts) {

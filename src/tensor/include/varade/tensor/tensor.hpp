@@ -82,6 +82,10 @@ class Tensor {
   // --- reshaping ------------------------------------------------------------
   /// Same data, new shape (numel must match).
   Tensor reshaped(Shape new_shape) const;
+  /// Resizes axis 0 in place to `rows`, keeping the other dims (rank >= 1).
+  /// Storage capacity is retained, so a scratch tensor reused at varying row
+  /// counts allocates only when it grows past its largest size so far.
+  void resize_rows(Index rows);
   /// 2-D transpose.
   Tensor transposed() const;
   /// Row `i` of a rank-2 tensor as a rank-1 tensor (copy).

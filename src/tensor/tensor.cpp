@@ -124,6 +124,14 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
+void Tensor::resize_rows(Index rows) {
+  check(rank() >= 1 && rows >= 0, "resize_rows needs rank >= 1 and rows >= 0");
+  Index row = 1;
+  for (std::size_t i = 1; i < shape_.size(); ++i) row *= shape_[i];
+  shape_[0] = rows;
+  data_.resize(static_cast<std::size_t>(rows * row));
+}
+
 Tensor Tensor::transposed() const {
   check(rank() == 2, "transposed() requires a rank-2 tensor");
   const Index r = shape_[0];

@@ -11,8 +11,11 @@ namespace {
 using nn::Conv1d;
 using nn::ConvTranspose1d;
 using nn::Flatten;
+using nn::KernelTable;
+using nn::kernels;
 using nn::LastTimeStep;
 using nn::Linear;
+using nn::runnable_kernel_tables;
 using nn::ReLU;
 using nn::ResidualBlock1d;
 using nn::Tanh;
@@ -93,7 +96,8 @@ TEST(Conv1d, PaddingPreservesLength) {
 // boundary steps scalar) while forward runs the scalar reference; its
 // per-element accumulation order is preserved, so the two must agree bit for
 // bit across every geometry the models use — including windows entirely
-// inside the padding and lengths that are not multiples of the block size.
+// inside the padding and lengths that are not multiples of the block size —
+// on every kernel set this host can run, not only the one dispatch selects.
 TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
   struct Geometry {
     Index in_ch, out_ch, kernel, stride, padding, batch, length;
@@ -114,12 +118,14 @@ TEST(Conv1d, InferenceKernelMatchesForwardBitForBit) {
     Conv1d conv(g.in_ch, g.out_ch, g.kernel, g.stride, g.padding, rng);
     const Tensor x = Tensor::randn({g.batch, g.in_ch, g.length}, rng);
     const Tensor ref = conv.forward(x);
-    const Tensor fast = conv.forward_inference(x);
-    ASSERT_EQ(ref.shape(), fast.shape());
-    for (Index i = 0; i < ref.numel(); ++i)
-      ASSERT_EQ(ref[i], fast[i]) << "kernel=" << g.kernel << " stride=" << g.stride
-                                 << " padding=" << g.padding << " length=" << g.length
-                                 << " element " << i;
+    for (const KernelTable* kernels : runnable_kernel_tables()) {
+      const Tensor fast = conv.forward_inference(x, *kernels);
+      ASSERT_EQ(ref.shape(), fast.shape());
+      for (Index i = 0; i < ref.numel(); ++i)
+        ASSERT_EQ(ref[i], fast[i]) << kernels->name << " kernel=" << g.kernel
+                                   << " stride=" << g.stride << " padding=" << g.padding
+                                   << " length=" << g.length << " element " << i;
+    }
   }
 }
 
@@ -143,7 +149,8 @@ TEST(ConvTranspose1d, ForwardGeometryAndValues) {
 // per-element semantics (including the skip of exactly-zero inputs, common
 // behind a ReLU), so the two paths must agree bit for bit. Geometries cover
 // the AE decoder's k2/s2 layers, block-size raggedness, exact zeros in the
-// input, and an overlapping stride < kernel case.
+// input, and an overlapping stride < kernel case, on every runnable kernel
+// set.
 TEST(ConvTranspose1d, InferenceKernelMatchesForwardBitForBit) {
   struct Geometry {
     Index in_ch, out_ch, kernel, stride, batch, length;
@@ -166,11 +173,14 @@ TEST(ConvTranspose1d, InferenceKernelMatchesForwardBitForBit) {
       for (Index i = 0; i < x.numel(); ++i)
         if (rng.bernoulli(0.5)) x[i] = 0.0F;
     const Tensor ref = conv.forward(x);
-    const Tensor fast = conv.forward_inference(x);
-    ASSERT_EQ(ref.shape(), fast.shape());
-    for (Index i = 0; i < ref.numel(); ++i)
-      ASSERT_EQ(ref[i], fast[i]) << "kernel=" << g.kernel << " stride=" << g.stride
-                                 << " length=" << g.length << " element " << i;
+    for (const KernelTable* kernels : runnable_kernel_tables()) {
+      const Tensor fast = conv.forward_inference(x, *kernels);
+      ASSERT_EQ(ref.shape(), fast.shape());
+      for (Index i = 0; i < ref.numel(); ++i)
+        ASSERT_EQ(ref[i], fast[i]) << kernels->name << " kernel=" << g.kernel
+                                   << " stride=" << g.stride << " length=" << g.length
+                                   << " element " << i;
+    }
   }
 }
 
@@ -181,6 +191,25 @@ TEST(KernelDispatch, ReportsSelectedKernel) {
 #else
   EXPECT_EQ(kernel, "scalar");
 #endif
+}
+
+// The bit-parity tests above loop over runnable_kernel_tables(), so the
+// scalar set stays covered on AVX2 hosts, where dispatch never selects it.
+TEST(KernelDispatch, EveryRunnableKernelSetIsExposed) {
+  const std::vector<const KernelTable*>& tables = runnable_kernel_tables();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_EQ(std::string(tables.front()->name), "scalar");
+  EXPECT_EQ(tables.back(), &kernels());
+#if defined(__x86_64__)
+  EXPECT_EQ(tables.size(), __builtin_cpu_supports("avx2") ? 2U : 1U);
+#else
+  EXPECT_EQ(tables.size(), 1U);
+#endif
+  for (const KernelTable* table : tables) {
+    EXPECT_NE(table->conv1d_interior, nullptr);
+    EXPECT_NE(table->convt1d_scatter, nullptr);
+    EXPECT_NE(table->halving_net, nullptr);
+  }
 }
 
 TEST(ConvTranspose1d, InvertsConvGeometry) {

@@ -230,14 +230,11 @@ TEST(ScoreBatchEdgeCases, MismatchedChannelCountThrowsWithExpectsGotWording) {
       detector->score_batch(contexts, observed, out.data());
       FAIL() << name << " did not throw";
     } catch (const Error& e) {
-      // The native baseline paths report the mismatch in the shared
-      // "expects N channels, got M" wording introduced by kNN/IForest
-      // (VARADE rejects the shape in its model forward instead).
-      if (name != "VARADE") {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("expects 3 channels, got 5"), std::string::npos)
-            << name << " message: " << message;
-      }
+      // Every native path, VARADE's packed plan included, reports the
+      // mismatch in the shared "expects N channels, got M" wording.
+      const std::string message = e.what();
+      EXPECT_NE(message.find("expects 3 channels, got 5"), std::string::npos)
+          << name << " message: " << message;
     }
   }
 }
